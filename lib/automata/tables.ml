@@ -177,11 +177,11 @@ let dynamic (nfa : Nfa.t) =
    Dynamic tables grow: a stream tag the automaton does not name gets a
    fresh id whose column {e aliases} the wildcard column, so interning is
    O(1) amortized and the memo can still distinguish tags if the caller
-   cares to. *)
+   cares to.  A known tag costs one lookup and no allocation. *)
 let intern t nm =
-  match Hashtbl.find_opt t.tag_ids nm with
-  | Some a -> a
-  | None ->
+  match Hashtbl.find t.tag_ids nm with
+  | a -> a
+  | exception Not_found ->
     if t.frozen then unknown_tag
     else begin
       let a = t.n_tags in

@@ -152,6 +152,11 @@ let make ?dtd tree source =
 
 let locked t f = Mutex.protect t.lock f
 
+(* Monotonic wall clock, in milliseconds.  Compile timings use it rather
+   than [Sys.time], which is CPU time summed over every domain of the
+   process and so inflates a compile that overlaps work on other domains. *)
+let now_ms () = Int64.to_float (Monotonic_clock.now ()) /. 1e6
+
 let snapshot t =
   locked t (fun () ->
       { snap_tree = t.tree; snap_source = t.source; snap_tax = t.tax })
@@ -546,11 +551,11 @@ let plan_for_query t ?group ?policy_key ~mode ~use_index ?optimize ?budget
              conditional [add ~gen] refuses the insert and the plan
              minted under the old view is served once, never cached. *)
           let gen = Plan_cache.generation cache (key canonical) in
-          let t0 = Sys.time () in
+          let t0 = now_ms () in
           (match compile_ast_robust t ?group ?optimize ?budget path with
           | Error e -> Error e
           | Ok mfa ->
-            let plan = plan_of mfa ((Sys.time () -. t0) *. 1000.) in
+            let plan = plan_of mfa (now_ms () -. t0) in
             Plan_cache.add cache ~gen ~scope:(plan_scope [ path ])
               (key canonical) plan;
             Ok (plan, false))))
@@ -1121,7 +1126,7 @@ let batch_plan_for t ?group ?policy_key ~mode ~use_index ?budget uniq_keys
        concurrent invalidation refuses the insert (same fence as
        [plan_for_query]). *)
     let gen = Plan_cache.generation cache bkey in
-    let t0 = Sys.time () in
+    let t0 = now_ms () in
     let comp_errs = Array.make n_uniq None in
     let survivors = ref [] in
     for i = n_uniq - 1 downto 0 do
@@ -1153,7 +1158,7 @@ let batch_plan_for t ?group ?policy_key ~mode ~use_index ?budget uniq_keys
             plan_states = Mfa.n_states sh.Shared.mfa;
             plan_empty = false;
             plan_shared = Some sh;
-            plan_compile_ms = (Sys.time () -. t0) *. 1000.;
+            plan_compile_ms = now_ms () -. t0;
             plan_tables = Atomic.make None;
           }
         in

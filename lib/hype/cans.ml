@@ -1,34 +1,58 @@
-(* Append-only during the pass (the hot path: one cons per candidate);
-   grouping and condition evaluation happen in the final resolution pass. *)
+(* Append-only during the pass (the hot path: two int stores per
+   candidate, into buffers that double when full); grouping and condition
+   evaluation happen in the final resolution pass. *)
 type t = {
-  mutable entries : (int * Conds.set) list;
+  mutable nodes : int array;
+  mutable conds : int array;
   mutable n_entries : int;
 }
 
-let create () = { entries = []; n_entries = 0 }
+let create () = { nodes = [||]; conds = [||]; n_entries = 0 }
 
 let add t ~node set =
-  t.entries <- (node, set) :: t.entries;
-  t.n_entries <- t.n_entries + 1
+  let n = t.n_entries in
+  if n = Array.length t.nodes then begin
+    let cap = max 64 (2 * n) in
+    let nodes = Array.make cap 0 and conds = Array.make cap 0 in
+    Array.blit t.nodes 0 nodes 0 n;
+    Array.blit t.conds 0 conds 0 n;
+    t.nodes <- nodes;
+    t.conds <- conds
+  end;
+  Array.unsafe_set t.nodes n node;
+  Array.unsafe_set t.conds n set;
+  t.n_entries <- n + 1
 
 let size t = t.n_entries
 
-let entries t =
-  let table : (int, Conds.dnf ref) Hashtbl.t = Hashtbl.create 64 in
-  List.iter
-    (fun (node, set) ->
-      match Hashtbl.find_opt table node with
-      | Some cell -> cell := Conds.dnf_add !cell set
-      | None -> Hashtbl.add table node (ref (Conds.dnf_add Conds.dnf_false set)))
-    t.entries;
-  Hashtbl.fold (fun node cell acc -> (node, !cell) :: acc) table []
+let entries t table =
+  let groups : (int, Conds.dnf ref) Hashtbl.t = Hashtbl.create 64 in
+  for i = t.n_entries - 1 downto 0 do
+    let node = t.nodes.(i) and set = t.conds.(i) in
+    match Hashtbl.find_opt groups node with
+    | Some cell -> cell := Conds.dnf_add table !cell set
+    | None ->
+      Hashtbl.add groups node (ref (Conds.dnf_add table Conds.dnf_false set))
+  done;
+  Hashtbl.fold (fun node cell acc -> (node, !cell) :: acc) groups []
   |> List.sort (fun (a, _) (b, _) -> compare a b)
 
-let resolve t ~lookup =
-  let rec keep acc = function
-    | [] -> acc
-    | (node, set) :: rest ->
-      if List.for_all lookup (Conds.to_list set) then keep (node :: acc) rest
-      else keep acc rest
+let resolve t ~holds =
+  let kept = Array.make t.n_entries 0 in
+  let k = ref 0 in
+  for i = 0 to t.n_entries - 1 do
+    if holds t.conds.(i) then begin
+      kept.(!k) <- t.nodes.(i);
+      incr k
+    end
+  done;
+  let kept = Array.sub kept 0 !k in
+  Array.sort Int.compare kept;
+  let rec uniq acc i =
+    if i < 0 then acc
+    else
+      match acc with
+      | x :: _ when x = kept.(i) -> uniq acc (i - 1)
+      | _ -> uniq (kept.(i) :: acc) (i - 1)
   in
-  List.sort_uniq compare (keep [] t.entries)
+  uniq [] (Array.length kept - 1)

@@ -18,10 +18,10 @@ val size : t -> int
 (** Number of candidate entries stored (a node selected by several runs
     counts once per run). *)
 
-val entries : t -> (int * Conds.dnf) list
+val entries : t -> Conds.t -> (int * Conds.dnf) list
 (** Candidates grouped per node in document order, with their pending
-    conditions as a disjunction. *)
+    conditions as a disjunction (sets are ids of the given table). *)
 
-val resolve : t -> lookup:(Conds.cond -> bool) -> int list
-(** The final answer: candidates whose disjunction is true under the
-    valuation, in document order. *)
+val resolve : t -> holds:(Conds.set -> bool) -> int list
+(** The final answer: candidates with a condition set that holds under
+    the valuation, in document order. *)

@@ -25,12 +25,6 @@ type t
 type kind =
   | El of string  (** element with this tag *)
   | Tx of string  (** text node with this content *)
-  | Tx_sub of string * int * int
-      (** text node whose content is the slice [(backing, off, len)] — a
-          borrowed span that zero-copy drivers pass instead of [Tx].  The
-          engine reads it during {!enter} and the node's own {!leave}
-          only, so a span valid across that enter/leave pair (a text node
-          leaves immediately — it has no children) never needs copying. *)
 
 type verdict =
   | Alive  (** at least one run is active: descend into the children *)
@@ -49,12 +43,14 @@ val create :
 (** Without [tables] the engine steps the NFA generically (string tests,
     per-item list scans).  With [tables] — which must specialize exactly
     this MFA's automaton (physical equality; [Driver_error] otherwise) —
-    the check-free portion of each node's item set is stepped as one
-    interned state set through a lazy-DFA memo, and check-guarded states
-    re-attach their node-local Conds per node, so qualifier semantics are
-    identical on both paths.  [memo_cap] (default 4096, mainly for tests)
-    bounds the distinct state sets interned before the lazy DFA is
-    flushed and rebuilt.
+    each node's item set is stepped as interned state sets through a
+    lazy-DFA memo — the check-free items as one set, items carrying
+    conditions as one set per distinct condition set — and check-guarded
+    states re-attach their node-local Conds per node, so qualifier
+    semantics are identical on both paths.  The active AFA states are an
+    interned set stepped the same way.  [memo_cap] (default 4096, mainly
+    for tests) bounds the distinct state sets interned before the lazy
+    DFA is flushed and rebuilt.
 
     [owners] turns the engine into a {e batch} evaluator for a
     shared-automaton merge ({!Smoqe_automata.Shared}): it maps each accept
@@ -68,14 +64,23 @@ val create :
 val enter : t -> id:int -> kind:kind -> verdict
 (** Pre-visit a node.  [id] must be the node's pre-order rank (ids are only
     used as opaque, ordered instance keys and answer labels).  With tables,
-    element tags are interned by name on each call — streaming drivers use
-    this; DOM drivers should prefer {!enter_tagged}. *)
+    element tags are interned by name on each call.  Drivers on a hot path
+    use the unboxed entry points below, which allocate nothing. *)
 
-val enter_tagged : t -> id:int -> tag:int -> kind:kind -> verdict
-(** [enter] with the element tag already interned in the engine's table's
-    id space (for frozen tables built by [Tables.of_tree], the tree's own
-    [Tree.tag_id]).  [tag] is ignored for text nodes and on the generic
-    path. *)
+val enter_element : t -> id:int -> tag:int -> string -> verdict
+(** [enter] an element with its tag already interned in the engine's
+    table's id space (for frozen tables built by [Tables.of_tree], the
+    tree's own [Tree.tag_id]).  [tag] is ignored on the generic path. *)
+
+val enter_named : t -> id:int -> string -> verdict
+(** [enter] an element by name, interning its tag (streaming drivers). *)
+
+val enter_text : t -> id:int -> string -> int -> int -> verdict
+(** [enter_text t ~id backing off len]: [enter] a text node whose content
+    is the slice [backing[off, off+len)] — a borrowed span.  The engine
+    reads it during this call and the node's own {!leave} only, so a span
+    valid across that enter/leave pair (a text node leaves immediately —
+    it has no children) never needs copying. *)
 
 val leave : t -> unit
 (** Post-visit the most recently entered node. *)

@@ -48,6 +48,10 @@ let prune_table mfa tree =
         else Check (Array.of_list !ids, text))
     needs
 
+let rec all_in_subtree idx n ids i =
+  i >= Array.length ids
+  || (Tax.mem idx n ids.(i) && all_in_subtree idx n ids (i + 1))
+
 let run_core ?tax ?(prune_threshold = 48) ?budget ?trace ?tables ?use_tables
     ?memo_cap ?owners ?n_queries mfa tree =
   let use_tables =
@@ -110,17 +114,21 @@ let run_core ?tax ?(prune_threshold = 48) ?budget ?trace ?tables ?use_tables
         Trace.mark tr d m
       done
   in
-  let kind_of n =
-    if Tree.is_text tree n then
-      let backing, off, len = Tree.content_slice tree n in
-      Engine.Tx_sub (backing, off, len)
-    else Engine.El (Tree.name tree n)
-  in
+  (* Descend below [n] only if some live state can still accept there.
+     [state_useful] reads the node under test from [cur]/[cur_text], so it
+     is built once per run rather than once per check. *)
   let descend_check =
     match tax with
     | None -> fun _ -> true
     | Some idx ->
       let info = prune_table mfa tree in
+      let cur = ref 0 and cur_text = ref false in
+      let state_useful s =
+        match info.(s) with
+        | Prune_always -> false
+        | Check (ids, text) ->
+          ((not text) || !cur_text) && all_in_subtree idx !cur ids 0
+      in
       fun n ->
         if Tree.is_text tree n then false (* no children anyway *)
         else if Tree.subtree_size tree n < prune_threshold then true
@@ -128,29 +136,39 @@ let run_core ?tax ?(prune_threshold = 48) ?budget ?trace ?tables ?use_tables
         else begin
           let has_text = Tax.has_text idx n in
           (Engine.may_accept_value_here engine && has_text)
-          ||
-          let state_useful s =
-            match info.(s) with
-            | Prune_always -> false
-            | Check (ids, text) ->
-              ((not text) || has_text)
-              && Array.for_all (fun id -> Tax.mem idx n id) ids
-          in
-          Engine.exists_live_state engine state_useful
+          || begin
+            cur := n;
+            cur_text := has_text;
+            Engine.exists_live_state engine state_useful
+          end
         end
   in
+  let indexed = Option.is_some tax in
+  (* Children of [n] are the pre-order ranges [n+1, stop), each child
+     followed by its next sibling at its own subtree end. *)
   let rec visit n =
     checkpoint ();
-    match
-      Engine.enter_tagged engine ~id:n ~tag:(Tree.tag_id tree n)
-        ~kind:(kind_of n)
-    with
+    let verdict =
+      if Tree.is_text tree n then
+        Engine.enter_text engine ~id:n (Tree.slice_backing tree n)
+          (Tree.slice_off tree n) (Tree.slice_len tree n)
+      else
+        Engine.enter_element engine ~id:n ~tag:(Tree.tag_id tree n)
+          (Tree.name tree n)
+    in
+    match verdict with
     | Engine.Dead -> skip_subtree n Trace.Skipped_dead `Dead
     | Engine.Alive ->
-      (if tax = None || Tree.first_child tree n = None || descend_check n then
-         Tree.iter_children tree n visit
+      let stop = Tree.subtree_end tree n in
+      (if (not indexed) || stop = n + 1 || descend_check n then
+         visit_children (n + 1) stop
        else skip_subtree n Trace.Pruned_tax `Tax);
       Engine.leave engine
+  and visit_children c stop =
+    if c < stop then begin
+      visit c;
+      visit_children (Tree.subtree_end tree c) stop
+    end
   in
   let budget_hit = ref None in
   (try

@@ -23,13 +23,6 @@ type many_result = {
   m_budget_hit : (string * string) option;
 }
 
-(* Per open element: was the engine entered for it, and are its children
-   processed?  Children of a Dead node are skipped without engine calls,
-   but still consume pre-order ids so that answers align with DOM ids. *)
-type level =
-  | Entered_alive
-  | Skipped
-
 (* An in-flight capture of a candidate subtree: everything scanned while
    it is open is appended (including regions the engine skipped — they
    are part of the fragment even if no run is alive there). *)
@@ -41,7 +34,7 @@ type capture = {
 
 (* [run_core] is written against three per-event handlers rather than an
    event stream: the cursor driver below feeds the engine interned names
-   and borrowed [Tx_sub] text spans, so on the fast path (no capture in
+   and borrowed text spans, so on the fast path (no capture in
    progress) an event costs no allocation at all.  Attribute lists and
    text copies are behind thunks, forced only while a capture is actually
    recording. *)
@@ -99,10 +92,20 @@ let run_core ~capture ?budget ?trace ?use_tables ?memo_cap ?owners ?n_queries
     incr next_id;
     id
   in
-  let stack = ref [] in
+  (* Per open element: was the engine entered for it ('\001'), or are
+     its children skipped ('\000')?  Children of a Dead node are skipped
+     without engine calls, but still consume pre-order ids so that answers
+     align with DOM ids.  A byte stack, grown on demand. *)
+  let stack = ref (Bytes.create 64) and depth = ref 0 in
+  let push_level alive =
+    if !depth = Bytes.length !stack then
+      stack := Bytes.extend !stack 0 (Bytes.length !stack);
+    Bytes.unsafe_set !stack !depth (if alive then '\001' else '\000');
+    incr depth
+  in
   let mark id m = match trace with None -> () | Some tr -> Trace.mark tr id m in
-  let parent_alive () =
-    match !stack with [] -> true | level :: _ -> level = Entered_alive
+  let top_alive () =
+    !depth = 0 || Bytes.unsafe_get !stack (!depth - 1) = '\001'
   in
   (* capturing *)
   let open_captures = ref [] in
@@ -171,12 +174,12 @@ let run_core ~capture ?budget ?trace ?use_tables ?memo_cap ?owners ?n_queries
   let on_start name attrs_fn =
     checkpoint ();
     let id = fresh_id () in
-    if parent_alive () then begin
-      (match Engine.enter engine ~id ~kind:(Engine.El name) with
-      | Engine.Alive -> stack := Entered_alive :: !stack
+    if top_alive () then begin
+      (match Engine.enter_named engine ~id name with
+      | Engine.Alive -> push_level true
       | Engine.Dead ->
         mark id Trace.Skipped_dead;
-        stack := Skipped :: !stack);
+        push_level false);
       let candidate = Engine.entered_candidate engine in
       if !open_captures <> [] || (capture && candidate) then
         cap_start ~candidate id name (attrs_fn ())
@@ -184,27 +187,23 @@ let run_core ~capture ?budget ?trace ?use_tables ?memo_cap ?owners ?n_queries
     else begin
       stats.Stats.nodes_skipped_dead <- stats.Stats.nodes_skipped_dead + 1;
       mark id Trace.Skipped_dead;
-      stack := Skipped :: !stack;
+      push_level false;
       if !open_captures <> [] then
         cap_start ~candidate:false (-1) name (attrs_fn ())
     end
   in
   let on_end name =
     checkpoint ();
-    (match !stack with
-    | [] -> raise (Engine.Driver_error "unbalanced end event")
-    | level :: rest ->
-      (match level with
-      | Entered_alive -> Engine.leave engine
-      | Skipped -> ());
-      stack := rest);
-    cap_end name
+    if !depth = 0 then raise (Engine.Driver_error "unbalanced end event");
+    if top_alive () then Engine.leave engine;
+    decr depth;
+    if !open_captures <> [] then cap_end name
   in
-  let on_text kind content_fn =
+  let on_text backing off len content_fn =
     checkpoint ();
     let id = fresh_id () in
-    if parent_alive () then begin
-      match Engine.enter engine ~id ~kind with
+    if top_alive () then begin
+      match Engine.enter_text engine ~id backing off len with
       | Engine.Alive ->
         let candidate = Engine.entered_candidate engine in
         if !open_captures <> [] || (capture && candidate) then
@@ -230,20 +229,19 @@ let run_core ~capture ?budget ?trace ?use_tables ?memo_cap ?owners ?n_queries
    borrowed span consumed inside [on_text] (enter → capture → leave)
    before the next [cursor_next] invalidates it. *)
 let drive_cursor pull ~on_start ~on_end ~on_text =
+  let attrs () = Pull.cur_attrs pull and text () = Pull.cur_text pull in
   let rec loop () =
     match Pull.cursor_next pull with
     | Pull.Cursor_eof -> ()
     | Pull.Cursor_start ->
-      on_start (Pull.cur_name pull) (fun () -> Pull.cur_attrs pull);
+      on_start (Pull.cur_name pull) attrs;
       loop ()
     | Pull.Cursor_end ->
       on_end (Pull.cur_name pull);
       loop ()
     | Pull.Cursor_text ->
-      let backing, off, len = Pull.cur_text_span pull in
-      on_text
-        (Engine.Tx_sub (backing, off, len))
-        (fun () -> Pull.cur_text pull);
+      on_text (Pull.cur_text_backing pull) (Pull.cur_text_start pull)
+        (Pull.cur_text_length pull) text;
       loop ()
   in
   loop ()
@@ -256,7 +254,8 @@ let drive_events next ~on_start ~on_end ~on_text =
       (match ev with
       | Pull.Start_element (name, attrs) -> on_start name (fun () -> attrs)
       | Pull.End_element name -> on_end name
-      | Pull.Text content -> on_text (Engine.Tx content) (fun () -> content));
+      | Pull.Text content ->
+        on_text content 0 (String.length content) (fun () -> content));
       loop ()
   in
   loop ()

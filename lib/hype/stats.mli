@@ -26,8 +26,9 @@ type t = {
       (** 1 when the compiled plan was served from the engine's plan cache
           (parse, rewrite and compile all skipped) *)
   mutable memo_hits : int;
-      (** lazy-DFA memo: [(state set, tag)] transitions served memoized *)
-  mutable memo_misses : int;  (** transitions computed and memoized *)
+      (** lazy-DFA memo: steps of the check-free item set served
+          memoized (one step per entered non-root node) *)
+  mutable memo_misses : int;  (** such steps computed and memoized *)
   mutable memo_evictions : int;
       (** lazy-DFA registry flushes (set diversity exceeded the cap) *)
   mutable table_spec_us : int;

@@ -786,6 +786,16 @@ let cur_text_span t =
   if off >= 0 then (Bytes.unsafe_to_string t.rd.buf, off - t.rd.base, len)
   else (Bytes.unsafe_to_string t.scratch.Scratch.b, lnot off, len)
 
+let cur_text_backing t =
+  if t.text_off >= 0 then Bytes.unsafe_to_string t.rd.buf
+  else Bytes.unsafe_to_string t.scratch.Scratch.b
+
+let cur_text_start t =
+  let off = t.text_off in
+  if off >= 0 then off - t.rd.base else lnot off
+
+let cur_text_length t = t.text_len
+
 let cur_attrs t =
   let rec go i acc =
     if i < 0 then acc

@@ -116,6 +116,12 @@ val cur_text_span : t -> string * int * int
     region.  The backing string aliases the parser's mutable buffer:
     consume it before the next {!cursor_next} and never retain it. *)
 
+val cur_text_backing : t -> string
+val cur_text_start : t -> int
+val cur_text_length : t -> int
+(** The three components of {!cur_text_span}, read separately so a
+    driver loop need not allocate the tuple. *)
+
 (** {1 Arena access}
 
     For builders running the parser in [retain] mode.  Raw spans encode

@@ -169,6 +169,17 @@ let content_slice t n =
   let off = t.cont_off.(n) and len = t.cont_len.(n) in
   if off >= 0 then (t.arena, off, len) else (t.appendix, lnot off, len)
 
+let slice_backing t n =
+  check t n;
+  if t.cont_off.(n) >= 0 then t.arena else t.appendix
+
+let slice_off t n =
+  check t n;
+  let off = t.cont_off.(n) in
+  if off >= 0 then off else lnot off
+
+let slice_len t n = check t n; t.cont_len.(n)
+
 let value_equal t n s =
   check t n;
   let len = t.cont_len.(n) in

@@ -178,6 +178,12 @@ val content_slice : t -> node -> string * int * int
     one of the tree's immutable byte regions: it stays valid as long as
     the tree does. *)
 
+val slice_backing : t -> node -> string
+val slice_off : t -> node -> int
+val slice_len : t -> node -> int
+(** The three components of {!content_slice}, read separately so a hot
+    loop need not allocate the tuple. *)
+
 val descendant_or_self_texts : t -> node -> string
 (** Full XPath-style string value: concatenation of all text descendants. *)
 

@@ -16,6 +16,12 @@ module Stats = Smoqe_hype.Stats
 module Eval_dom = Smoqe_hype.Eval_dom
 module Eval_stax = Smoqe_hype.Eval_stax
 module Tax = Smoqe_tax.Tax
+module Tables = Smoqe_automata.Tables
+module Optimize = Smoqe_automata.Optimize
+module Derive = Smoqe_security.Derive
+module Rewriter = Smoqe_rewrite.Rewriter
+module Hospital = Smoqe_workload.Hospital
+module Queries = Smoqe_workload.Queries
 
 let parse s =
   match Rx_parser.path_of_string s with
@@ -41,48 +47,64 @@ let check_against_oracle ?tax t q =
 (* --- Conds -------------------------------------------------------------- *)
 
 let test_conds_set_ops () =
-  let s = Conds.add (1, 5) (Conds.add (0, 3) (Conds.add (1, 5) Conds.empty)) in
-  Alcotest.(check int) "dedup" 2 (Conds.cardinal s);
-  Alcotest.(check (list (pair int int))) "sorted" [ (0, 3); (1, 5) ]
-    (Conds.to_list s);
-  let s2 = Conds.add (2, 2) Conds.empty in
-  let u = Conds.union s s2 in
-  Alcotest.(check int) "union" 3 (Conds.cardinal u);
-  Alcotest.(check bool) "subset" true (Conds.subset s u);
-  Alcotest.(check bool) "not subset" false (Conds.subset u s)
+  let tb = Conds.create () in
+  let of_list l = List.fold_left (Conds.add tb) Conds.empty l in
+  let s = of_list [ 5; 3; 5 ] in
+  Alcotest.(check int) "dedup" 2 (Conds.cardinal tb s);
+  Alcotest.(check (list int)) "sorted" [ 3; 5 ] (Conds.to_list tb s);
+  Alcotest.(check int) "hash-consed: insertion order is irrelevant" s
+    (of_list [ 3; 5 ]);
+  Alcotest.(check bool) "mem" true (Conds.mem tb s 3);
+  Alcotest.(check bool) "not mem" false (Conds.mem tb s 4);
+  let s2 = of_list [ 2 ] in
+  let u = Conds.union tb s s2 in
+  Alcotest.(check int) "union" 3 (Conds.cardinal tb u);
+  Alcotest.(check int) "union is canonical" u (Conds.union tb s2 s);
+  Alcotest.(check bool) "subset" true (Conds.subset tb s u);
+  Alcotest.(check bool) "not subset" false (Conds.subset tb u s);
+  (* growth past the initial table keeps every id canonical *)
+  let ids = Array.init 500 (fun i -> Conds.add tb s (100 + i)) in
+  Array.iteri
+    (fun i id ->
+      Alcotest.(check int) "stable after growth" id (Conds.add tb s (100 + i)))
+    ids
 
 let test_conds_dnf () =
-  let a = Conds.add (0, 1) Conds.empty in
-  let ab = Conds.add (1, 2) a in
-  let d = Conds.dnf_add Conds.dnf_false ab in
+  let tb = Conds.create () in
+  let a = Conds.add tb Conds.empty 1 in
+  let ab = Conds.add tb a 2 in
+  let d = Conds.dnf_add tb Conds.dnf_false ab in
   Alcotest.(check int) "one set" 1 (Conds.dnf_size d);
   (* adding the smaller set subsumes the larger *)
-  let d = Conds.dnf_add d a in
+  let d = Conds.dnf_add tb d a in
   Alcotest.(check int) "subsumed" 1 (Conds.dnf_size d);
-  Alcotest.(check (list (pair int int))) "kept smaller" [ (0, 1) ]
-    (Conds.to_list (List.hd (Conds.dnf_sets d)));
+  Alcotest.(check (list int)) "kept smaller" [ 1 ]
+    (Conds.to_list tb (List.hd (Conds.dnf_sets d)));
   (* adding a superset of an existing set is dropped *)
-  let d = Conds.dnf_add d ab in
+  let d = Conds.dnf_add tb d ab in
   Alcotest.(check int) "superset dropped" 1 (Conds.dnf_size d);
   (* empty set makes it unconditional *)
-  let d = Conds.dnf_add d Conds.empty in
+  let d = Conds.dnf_add tb d Conds.empty in
   Alcotest.(check bool) "unconditional" true (Conds.dnf_is_unconditional d);
   Alcotest.(check bool) "false is false" true
     (Conds.dnf_is_false Conds.dnf_false);
-  Alcotest.(check bool) "eval" true (Conds.dnf_eval d (fun _ -> false))
+  Alcotest.(check bool) "eval" true (Conds.dnf_eval tb d (fun _ -> false))
 
 let test_cans () =
+  let tb = Conds.create () in
   let c = Cans.create () in
-  Cans.add c ~node:4 (Conds.add (0, 2) Conds.empty);
+  let c0 = Conds.add tb Conds.empty 0 in
+  let c1 = Conds.add tb Conds.empty 1 in
+  Cans.add c ~node:4 c0;
   Cans.add c ~node:2 Conds.empty;
-  Cans.add c ~node:4 (Conds.add (1, 3) Conds.empty);
+  Cans.add c ~node:4 c1;
   Alcotest.(check int) "three entries" 3 (Cans.size c);
   Alcotest.(check int) "two distinct candidates" 2
-    (List.length (Cans.entries c));
-  let answers = Cans.resolve c ~lookup:(fun (q, _) -> q = 1) in
+    (List.length (Cans.entries c tb));
+  let answers = Cans.resolve c ~holds:(fun set -> Conds.for_all tb set (( = ) 1)) in
   Alcotest.(check (list int)) "resolved in doc order" [ 2; 4 ] answers;
   (* an unconditional entry plus a failing conditional one: still answers *)
-  let answers = Cans.resolve c ~lookup:(fun _ -> false) in
+  let answers = Cans.resolve c ~holds:Conds.is_empty in
   Alcotest.(check (list int)) "unconditional survives" [ 2 ] answers
 
 (* --- DOM evaluation ------------------------------------------------------ *)
@@ -390,6 +412,85 @@ let test_deep_document_recursion () =
   let r = Eval_stax.run_events mfa (Xml_parser.events_of_tree t) in
   Alcotest.(check int) "stax deep" 1 (List.length r.Eval_stax.answers)
 
+(* --- Table path: allocation and flush-safety ---------------------------- *)
+
+let view_mfa view text = Optimize.optimize (Rewriter.rewrite view (parse text))
+
+(* The warm table path allocates (almost) nothing per node: frames, item
+   groups and AFA bookkeeping are reused arrays, and Cans/conditions grow
+   amortized buffers.  Frozen tables are built once, as a cached plan
+   carries them; what remains per run is the engine's set-up. *)
+let test_alloc_per_node () =
+  let doc = Hospital.generate ~seed:2 ~n_patients:200 ~recursion_depth:2 () in
+  let tax = Tax.build doc in
+  let view = Derive.derive Hospital.policy in
+  let plans =
+    List.map
+      (fun (_, text) ->
+        let mfa = view_mfa view text in
+        (mfa, Tables.of_tree mfa.Smoqe_automata.Mfa.nfa doc))
+      Queries.view_suite
+  in
+  let run () =
+    List.fold_left
+      (fun nodes (mfa, tables) ->
+        let r = Eval_dom.run ~tax ~tables mfa doc in
+        nodes + r.Eval_dom.stats.Stats.nodes_entered)
+      0 plans
+  in
+  ignore (run ());
+  let w0 = Gc.minor_words () in
+  let nodes = run () in
+  let per_node = (Gc.minor_words () -. w0) /. float_of_int nodes in
+  if per_node > 20. then
+    Alcotest.failf "%.1f minor words per entered node (gate: 20)" per_node
+
+(* Every stat but the table layer's own counters, which the generic path
+   never touches. *)
+let stats_sans_tables s =
+  List.filter
+    (fun (k, _) ->
+      not (List.mem k [ "memo_hits"; "memo_misses"; "memo_evictions"; "table_spec_us" ]))
+    (Stats.to_assoc s)
+
+(* A registry flush before every node: condition groups, interned unions
+   and seed closures are re-derived from the frames' sets each time, and
+   must agree byte for byte with the generic evaluator. *)
+let test_flush_differential () =
+  let doc = Hospital.generate ~seed:5 ~n_patients:12 ~recursion_depth:2 () in
+  let bytes = Serializer.to_string doc in
+  let view = Derive.derive Hospital.policy in
+  let cases =
+    List.map (fun v -> (v, view_mfa view (List.assoc v Queries.view_suite)))
+      [ "V2"; "V3"; "V5" ]
+    @ [ ("Q0", Compile.compile (parse Queries.q0)) ]
+  in
+  List.iter
+    (fun (name, mfa) ->
+      let label what = Printf.sprintf "%s %s" name what in
+      let flushed = Eval_dom.run ~use_tables:true ~memo_cap:2 mfa doc in
+      let generic = Eval_dom.run ~use_tables:false mfa doc in
+      Alcotest.(check bool) (label "dom flushes") true
+        (flushed.Eval_dom.stats.Stats.memo_evictions > 0);
+      Alcotest.(check (list int)) (label "dom answers") generic.Eval_dom.answers
+        flushed.Eval_dom.answers;
+      Alcotest.(check (list (pair string int))) (label "dom stats")
+        (stats_sans_tables generic.Eval_dom.stats)
+        (stats_sans_tables flushed.Eval_dom.stats);
+      let stax use_tables =
+        Eval_stax.run ~capture:true ~use_tables ~memo_cap:2 mfa
+          (Smoqe_xml.Pull.of_string bytes)
+      in
+      let flushed = stax true and generic = stax false in
+      Alcotest.(check (list int)) (label "stax answers")
+        generic.Eval_stax.answers flushed.Eval_stax.answers;
+      Alcotest.(check (list (pair int string))) (label "stax fragments")
+        generic.Eval_stax.captured flushed.Eval_stax.captured;
+      Alcotest.(check (list (pair string int))) (label "stax stats")
+        (stats_sans_tables generic.Eval_stax.stats)
+        (stats_sans_tables flushed.Eval_stax.stats))
+    cases
+
 (* --- Property tests: HyPE = oracle --------------------------------------- *)
 
 let tag_gen = QCheck2.Gen.oneofl [ "a"; "b"; "c" ]
@@ -524,6 +625,11 @@ let () =
           Alcotest.test_case "tax effect" `Quick test_tax_pruning_effect;
           Alcotest.test_case "cans small" `Quick test_cans_small;
           Alcotest.test_case "trace" `Quick test_trace_marks;
+        ] );
+      ( "table path",
+        [
+          Alcotest.test_case "allocation per node" `Quick test_alloc_per_node;
+          Alcotest.test_case "flush differential" `Quick test_flush_differential;
         ] );
       ("properties", qsuite);
     ]

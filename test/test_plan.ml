@@ -266,6 +266,40 @@ let test_sessions_share_cache () =
   Alcotest.(check int) "second session served warm" 1
     (hit_of (ok (Session.run s2 "//medication")))
 
+(* Compile timings are wall time: a slow compile runs on one worker of a
+   2-domain pool while the other worker spins, and the plan's recorded
+   compile time must fit inside the wall time of the query that compiled
+   it.  Process CPU time, summed over both domains, would overshoot. *)
+let test_compile_time_is_wall_clock () =
+  let e = hospital_engine () in
+  (* optimizing 60 chained stars dominates this query's cost *)
+  let q =
+    String.concat "/" (List.init 60 (fun _ -> "(patient/parent)*")) ^ "/patient"
+  in
+  let pool = Smoqe_exec.Pool.create ~domains:2 () in
+  let stop = Atomic.make false in
+  let spinner =
+    Smoqe_exec.Pool.submit pool (fun () ->
+        while not (Atomic.get stop) do
+          Domain.cpu_relax ()
+        done)
+  in
+  let t0 = Unix.gettimeofday () in
+  let first = Smoqe_exec.Pool.await (Engine.submit e ~pool ~group:"researchers" q) in
+  let wall_ms = (Unix.gettimeofday () -. t0) *. 1000. in
+  Atomic.set stop true;
+  Smoqe_exec.Pool.await spinner;
+  Smoqe_exec.Pool.shutdown pool;
+  (match first with Ok _ -> () | Error err -> Alcotest.fail (Error.to_string err));
+  let saved () = List.assoc "saved_compile_ms" (Engine.plan_cache_counters e) in
+  let before = saved () in
+  Alcotest.(check int) "served warm" 1
+    (hit_of (ok (Engine.query e ~group:"researchers" q)));
+  let compile_ms = saved () - before in
+  if float_of_int compile_ms > wall_ms then
+    Alcotest.failf "compile recorded %d ms, its query took %.1f ms" compile_ms
+      wall_ms
+
 let () =
   Alcotest.run "smoqe_plan"
     [
@@ -300,5 +334,7 @@ let () =
           Alcotest.test_case "budget checked on hit" `Quick
             test_budget_checked_on_hit;
           Alcotest.test_case "sessions share" `Quick test_sessions_share_cache;
+          Alcotest.test_case "compile time is wall clock" `Quick
+            test_compile_time_is_wall_clock;
         ] );
     ]
