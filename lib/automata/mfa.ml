@@ -51,6 +51,13 @@ let freeze b ~start =
     atoms = Array.of_list (List.rev b.rev_atoms);
   }
 
+let of_parts ~nfa ~start ~quals ~atoms =
+  let n = nfa.Nfa.n_states in
+  let in_range s = if s < 0 || s >= n then invalid_arg "Mfa: unknown state" in
+  in_range start;
+  Array.iter (fun (atom : Afa.atom) -> in_range atom.Afa.start) atoms;
+  { nfa; start; quals; atoms }
+
 let n_states t = t.nfa.Nfa.n_states
 let n_transitions t = Nfa.n_transitions t.nfa
 let n_quals t = Array.length t.quals

@@ -41,6 +41,13 @@ val add_accept_atom : builder -> Nfa.state -> int -> unit
 
 val freeze : builder -> start:Nfa.state -> t
 
+val of_parts :
+  nfa:Nfa.t -> start:Nfa.state -> quals:Afa.formula array ->
+  atoms:Afa.atom array -> t
+(** Assemble an MFA from an already frozen automaton, for transformations
+    that produce one directly ({!Optimize}).  Raises [Invalid_argument]
+    if [start] or an atom entry is out of range. *)
+
 (** {1 Measures} *)
 
 val n_states : t -> int

@@ -88,6 +88,23 @@ let freeze b =
   List.iter (fun (s, a) -> add_once accepts s a) b.b_accepts;
   { n_states = n; delta; eps; checks; accepts }
 
+let of_arrays ~delta ~eps ~checks ~accepts =
+  let n = Array.length delta in
+  if Array.length eps <> n || Array.length checks <> n
+     || Array.length accepts <> n
+  then invalid_arg "Nfa.of_arrays: arrays of different lengths";
+  let in_range v = if v < 0 || v >= n then invalid_arg "Nfa: unknown state" in
+  Array.iter (List.iter (fun (_, v) -> in_range v)) delta;
+  Array.iteri
+    (fun s l ->
+      List.iter
+        (fun v ->
+          in_range v;
+          if v = s then invalid_arg "Nfa.of_arrays: epsilon self-loop")
+        l)
+    eps;
+  { n_states = n; delta; eps; checks; accepts }
+
 let eps_closure t states =
   let seen = Array.make t.n_states false in
   let rec visit s =

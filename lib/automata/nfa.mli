@@ -57,6 +57,18 @@ val add_check : builder -> state -> int -> unit
 val add_accept : builder -> state -> accept -> unit
 val freeze : builder -> t
 
+val of_arrays :
+  delta:(test * state) list array ->
+  eps:state list array ->
+  checks:int list array ->
+  accepts:accept list array ->
+  t
+(** An automaton from per-state lists, taken as they are, in the shape
+    {!freeze} leaves them: every list duplicate-free and no epsilon
+    self-loop.  Raises [Invalid_argument] on arrays of different lengths,
+    a state out of range or an epsilon self-loop; duplicates are not
+    checked. *)
+
 (** {1 Inspection} *)
 
 val eps_closure : t -> state list -> state list

@@ -16,6 +16,11 @@
       selection start or any qualifier-atom entry are removed and the
       automaton is renumbered.
 
+    The cost is one liveness pass over reverse edges, then an epsilon
+    fold of each kept state only, found from the start and atom entries:
+    linear in states + transitions, plus the sorting of each kept state's
+    folded lists.
+
     Especially effective on rewritten view queries, whose product
     construction leaves long epsilon chains and unreachable type-layer
     copies.  Equivalence with the unoptimized automaton is property-tested;

@@ -20,7 +20,19 @@ type need =
           mandatory text-node test *)
 
 val compute : Nfa.t -> need array
-(** Greatest fixpoint over the (possibly cyclic) automaton graph. *)
+(** Greatest fixpoint over the (possibly cyclic) automaton graph, computed
+    by a worklist over reverse edges.  Accepting states seed it; when a
+    state's need changes, each predecessor meets its own need with the new
+    contribution and is queued again if that changed it.  A need only
+    descends — from [All] to a label set that shrinks, with the text flag
+    clearing once — so a state is revisited at most (labels + 2) times,
+    where labels counts the distinct labels the automaton tests, and the
+    work is O((labels + 2) * transitions) set operations. *)
+
+val live : Nfa.t -> bool array
+(** [live.(s)] when some accepting state is reachable from [s] — exactly
+    the states whose {!compute} need is not [All], found by one linear
+    pass over reverse edges. *)
 
 val useless : need -> in_subtree:(string -> bool) -> has_text:bool -> bool
 (** [true] when some mandatory requirement cannot be met inside the

@@ -55,6 +55,30 @@ let test_nfa_invalid_state () =
   Alcotest.check_raises "unknown state" (Invalid_argument "Nfa: unknown state")
     (fun () -> Nfa.add_edge b s0 Nfa.Any_element 42)
 
+let test_nfa_of_arrays () =
+  let b = Nfa.create_builder () in
+  let s0 = Nfa.fresh_state b and s1 = Nfa.fresh_state b in
+  Nfa.add_edge b s0 (Nfa.Element "a") s1;
+  Nfa.add_eps b s1 s0;
+  Nfa.add_check b s1 0;
+  Nfa.add_accept b s1 Nfa.Select;
+  let frozen = Nfa.freeze b in
+  let of_arrays ?(eps = [| []; [ 0 ] |])
+      ?(delta = [| [ (Nfa.Element "a", 1) ]; [] |]) () =
+    Nfa.of_arrays ~delta ~eps ~checks:[| []; [ 0 ] |]
+      ~accepts:[| []; [ Nfa.Select ] |]
+  in
+  Alcotest.(check bool) "same automaton as the builder's" true
+    (of_arrays () = frozen);
+  Alcotest.check_raises "unknown state" (Invalid_argument "Nfa: unknown state")
+    (fun () -> ignore (of_arrays ~delta:[| [ (Nfa.Any_element, 2) ]; [] |] ()));
+  Alcotest.check_raises "epsilon self-loop"
+    (Invalid_argument "Nfa.of_arrays: epsilon self-loop")
+    (fun () -> ignore (of_arrays ~eps:[| []; [ 1 ] |] ()));
+  Alcotest.check_raises "lengths"
+    (Invalid_argument "Nfa.of_arrays: arrays of different lengths")
+    (fun () -> ignore (of_arrays ~eps:[| [] |] ()))
+
 (* --- Compile ----------------------------------------------------------- *)
 
 let test_compile_simple () =
@@ -309,7 +333,109 @@ let prop_mfa_linear =
       let mfa = Compile.compile p in
       Mfa.size mfa <= 8 * Ast.size p + 8)
 
-let qsuite = List.map QCheck_alcotest.to_alcotest [ prop_mfa_linear ]
+(* --- Property: worklist reachability = round-robin reference ---------------- *)
+
+(* A round-robin sweep as the independent reference: every state re-meets
+   all its successors, in descending order, until one full sweep changes
+   nothing.  Lattice operations are restated here so that the
+   reference shares no code with {!Reachability}. *)
+module Reference_reachability = struct
+  module S = Reachability.String_set
+
+  let meet a b =
+    match a, b with
+    | Reachability.All, x | x, Reachability.All -> x
+    | Reachability.Req (la, ta), Reachability.Req (lb, tb) ->
+      Reachability.Req (S.inter la lb, ta && tb)
+
+  let after_test test k =
+    match k, test with
+    | Reachability.All, _ -> Reachability.All
+    | Reachability.Req _, Nfa.Any_element -> k
+    | Reachability.Req (labels, text), Nfa.Element s ->
+      Reachability.Req (S.add s labels, text)
+    | Reachability.Req (labels, _), Nfa.Text_node -> Reachability.Req (labels, true)
+
+  let equal a b =
+    match a, b with
+    | Reachability.All, Reachability.All -> true
+    | Reachability.Req (la, ta), Reachability.Req (lb, tb) ->
+      ta = tb && S.equal la lb
+    | _ -> false
+
+  let compute (nfa : Nfa.t) =
+    let n = nfa.Nfa.n_states in
+    let base =
+      Array.init n (fun s ->
+          if nfa.Nfa.accepts.(s) <> [] then Reachability.Req (S.empty, false)
+          else Reachability.All)
+    in
+    let needs = Array.copy base in
+    let changed = ref true in
+    while !changed do
+      changed := false;
+      for s = n - 1 downto 0 do
+        let acc = ref base.(s) in
+        List.iter
+          (fun (test, s') -> acc := meet !acc (after_test test needs.(s')))
+          nfa.Nfa.delta.(s);
+        List.iter (fun s' -> acc := meet !acc needs.(s')) nfa.Nfa.eps.(s);
+        if not (equal !acc needs.(s)) then begin
+          needs.(s) <- !acc;
+          changed := true
+        end
+      done
+    done;
+    needs
+end
+
+(* Worklist needs equal the reference's, state by state, and [live] marks
+   exactly the states whose need is not [All]. *)
+let reachability_agrees (nfa : Nfa.t) =
+  let expected = Reference_reachability.compute nfa in
+  let got = Reachability.compute nfa in
+  let live = Reachability.live nfa in
+  Array.length got = Array.length expected
+  && Array.for_all2 Reference_reachability.equal expected got
+  && Array.for_all2 (fun l need -> l = (need <> Reachability.All)) live expected
+
+let prop_reachability_compiled =
+  QCheck2.Test.make ~count:500
+    ~name:"reachability of compiled MFAs = round-robin"
+    ~print:Smoqe_rxpath.Pretty.path_to_string
+    QCheck2.Gen.(sized_size (int_bound 9) path_gen)
+    (fun p ->
+      let mfa = Compile.compile p in
+      reachability_agrees mfa.Mfa.nfa
+      && reachability_agrees (Smoqe_automata.Optimize.optimize mfa).Mfa.nfa)
+
+(* Rewritten view queries over random schemas, cyclic ones on even seeds:
+   the product automata the optimizer and TAX pruning actually see. *)
+let prop_reachability_rewritten =
+  QCheck2.Test.make ~count:150
+    ~name:"reachability of rewritten MFAs = round-robin"
+    ~print:string_of_int
+    QCheck2.Gen.(int_bound 100_000)
+    (fun seed ->
+      let module Random_dtd = Smoqe_workload.Random_dtd in
+      let module Derive = Smoqe_security.Derive in
+      let dtd =
+        Random_dtd.generate ~seed ~n_types:(3 + (seed mod 8))
+          ~recursion:(seed mod 2 = 0) ()
+      in
+      let policy = Random_dtd.random_policy ~seed:(seed * 3 + 1) dtd in
+      match Derive.derive policy with
+      | exception Derive.Unsupported _ -> true
+      | view ->
+        let tags = Dtd.element_names (Derive.view_dtd view) in
+        let q = Random_dtd.random_query ~seed:(seed * 7 + 3) ~size:6 ~tags () in
+        let mfa = Smoqe_rewrite.Rewriter.rewrite view q in
+        reachability_agrees mfa.Mfa.nfa
+        && reachability_agrees (Smoqe_automata.Optimize.optimize mfa).Mfa.nfa)
+
+let qsuite =
+  List.map QCheck_alcotest.to_alcotest
+    [ prop_mfa_linear; prop_reachability_compiled; prop_reachability_rewritten ]
 
 let () =
   Alcotest.run "smoqe_automata"
@@ -319,6 +445,7 @@ let () =
           Alcotest.test_case "builder" `Quick test_nfa_builder;
           Alcotest.test_case "dedup" `Quick test_nfa_dedup;
           Alcotest.test_case "invalid state" `Quick test_nfa_invalid_state;
+          Alcotest.test_case "of_arrays" `Quick test_nfa_of_arrays;
         ] );
       ( "compile",
         [

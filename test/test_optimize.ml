@@ -16,6 +16,10 @@ module Rewriter = Smoqe_rewrite.Rewriter
 module Derive = Smoqe_security.Derive
 module Hospital = Smoqe_workload.Hospital
 module Queries = Smoqe_workload.Queries
+module Random_dtd = Smoqe_workload.Random_dtd
+module Docgen = Smoqe_workload.Docgen
+module Materialize = Smoqe_security.Materialize
+module Dtd = Smoqe_xml.Dtd
 
 let parse s =
   match Rx_parser.path_of_string s with
@@ -104,6 +108,40 @@ let test_idempotent () =
     (Mfa.n_transitions once)
     (Mfa.n_transitions twice)
 
+(* Allocation guard: the optimizer's cost stays linear in the automaton,
+   in the style of the table path's per-node allocation gate.  The set
+   mixes the hospital view suite with rewritten queries over one recursive
+   12-type schema, twelve of whose MFAs have 1,100 to 3,800 states.  The
+   worst ratio measured is about 20 minor words per state or transition
+   (a 45-state automaton, whose work arrays are minor-heap sized); the gate
+   is twice that.  A closure table per state, or must-label set sweeps
+   repeated until stable, cost 98 to 259 on this set. *)
+let test_alloc_linear () =
+  let hospital = Derive.derive Hospital.policy in
+  let dtd = Random_dtd.generate ~seed:3 ~n_types:12 ~recursion:true () in
+  let view = Derive.derive (Random_dtd.random_policy ~seed:1003 dtd) in
+  let tags = Dtd.element_names (Derive.view_dtd view) in
+  let mfas =
+    List.map (fun (_, q) -> Rewriter.rewrite hospital (parse q)) Queries.view_suite
+    @ List.init 20 (fun i ->
+          Rewriter.rewrite view
+            (Random_dtd.random_query ~seed:(i + 1) ~size:6 ~tags ()))
+  in
+  Alcotest.(check bool) "the set holds an MFA of over 1,000 states" true
+    (List.exists (fun m -> Mfa.n_states m > 1000) mfas);
+  List.iter
+    (fun mfa ->
+      let size = Mfa.n_states mfa + Mfa.n_transitions mfa in
+      ignore (Optimize.optimize mfa);
+      let w0 = Gc.minor_words () in
+      ignore (Sys.opaque_identity (Optimize.optimize mfa));
+      let words = Gc.minor_words () -. w0 in
+      if words > 40. *. float_of_int size then
+        Alcotest.failf "%.0f minor words to optimize %d states + transitions \
+                        (%.1f per unit; gate: 40)"
+          words size (words /. float_of_int size))
+    mfas
+
 (* Property: optimized MFA = oracle on random docs and queries. *)
 let tag_gen = QCheck2.Gen.oneofl [ "a"; "b"; "c" ]
 let value_gen = QCheck2.Gen.oneofl [ "x"; "y" ]
@@ -177,7 +215,42 @@ let prop_optimized_equals_oracle =
       let opt = Optimize.optimize (Compile.compile p) in
       (Eval_dom.run opt t).Eval_dom.answers = Semantics.answer_list t p)
 
-let qsuite = List.map QCheck_alcotest.to_alcotest [ prop_optimized_equals_oracle ]
+(* Property: optimized rewritten view queries = the materialized view.
+   Rewriting through a view over a recursive schema yields the product
+   automata the optimizer is for — long epsilon chains, check-guarded
+   states, dead type-layer copies — so they get their own oracle: query the
+   materialized view and map the answers back, which shares no code with
+   the rewriter or the optimizer. *)
+let prop_optimized_rewritten_equals_materialize =
+  QCheck2.Test.make ~count:150 ~name:"optimized rewritten MFA = materialized view"
+    ~print:string_of_int
+    QCheck2.Gen.(int_bound 100_000)
+    (fun seed ->
+      let dtd =
+        Random_dtd.generate ~seed ~n_types:(3 + (seed mod 8)) ~recursion:true ()
+      in
+      let policy = Random_dtd.random_policy ~seed:(seed * 3 + 1) dtd in
+      match
+        ( Derive.derive policy,
+          Docgen.generate ~seed:(seed * 5 + 2) ~max_depth:8 ~fanout:2 dtd )
+      with
+      | exception (Derive.Unsupported _ | Docgen.No_finite_expansion _) -> true
+      | view, doc ->
+        let tags = Dtd.element_names (Derive.view_dtd view) in
+        let q = Random_dtd.random_query ~seed:(seed * 7 + 3) ~size:6 ~tags () in
+        let opt = Optimize.optimize (Rewriter.rewrite view q) in
+        let expected = Materialize.doc_answers view doc q in
+        let dom = (Eval_dom.run opt doc).Eval_dom.answers in
+        let stax =
+          (Eval_stax.run_events opt (Xml_parser.events_of_tree doc))
+            .Eval_stax.answers
+        in
+        List.sort_uniq compare dom = expected
+        && List.sort_uniq compare stax = expected)
+
+let qsuite =
+  List.map QCheck_alcotest.to_alcotest
+    [ prop_optimized_equals_oracle; prop_optimized_rewritten_equals_materialize ]
 
 let () =
   Alcotest.run "smoqe_optimize"
@@ -189,6 +262,7 @@ let () =
           Alcotest.test_case "drops dead branches" `Quick
             test_drops_unreachable_branch;
           Alcotest.test_case "idempotent" `Quick test_idempotent;
+          Alcotest.test_case "allocation linear in size" `Quick test_alloc_linear;
         ] );
       ( "equivalence",
         [
