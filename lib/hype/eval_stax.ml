@@ -4,6 +4,9 @@ module Budget = Smoqe_robust.Budget
 module Failpoint = Smoqe_robust.Failpoint
 
 module Shared = Smoqe_automata.Shared
+module Tables = Smoqe_automata.Tables
+
+let unseen = min_int
 
 type result = {
   answers : int list;
@@ -23,41 +26,42 @@ type many_result = {
   m_budget_hit : (string * string) option;
 }
 
-(* An in-flight capture of a candidate subtree: everything scanned while
-   it is open is appended (including regions the engine skipped — they
-   are part of the fragment even if no run is alive there). *)
-type capture = {
-  cap_node : int;
-  buf : Buffer.t;
-  mutable open_elements : int;
-}
-
 (* [run_core] is written against three per-event handlers rather than an
    event stream: the cursor driver below feeds the engine interned names
-   and borrowed text spans, so on the fast path (no capture in
-   progress) an event costs no allocation at all.  Attribute lists and
-   text copies are behind thunks, forced only while a capture is actually
-   recording. *)
+   and borrowed text spans, so on the fast path (no capture in progress)
+   an event costs no allocation at all.  [on_start] receives an attribute
+   emitter that writes the element's attributes, escaped, into a buffer;
+   it runs only while a capture is recording.
+
+   Capture.  Everything scanned while a candidate subtree is open is part
+   of its fragment, including regions the engine skipped.  Open captures
+   nest like the elements they record, so they form a stack, and one
+   buffer serves them all: a capture owns the bytes from its start offset
+   to the buffer's end, and a nested candidate's fragment is a region of
+   its ancestor's.  Each scanned byte is escaped straight from the
+   driver's spans and written once, however many captures are open.  A
+   capture's fragment is copied out when its element closes; the buffer
+   is cleared when the last open capture closes. *)
 let run_core ~capture ?budget ?trace ?use_tables ?memo_cap ?owners ?n_queries
     mfa drive =
   let use_tables =
     match use_tables with
     | Some b -> b
-    | None -> Smoqe_automata.Tables.enabled_default ()
+    | None -> Tables.enabled_default ()
   in
   (* Streaming has no tag universe up front: a dynamic table pre-interns
      the automaton's element names and grows as unseen stream tags arrive.
      Dynamic tables are mutable, so each run builds its own. *)
   let tables =
     if use_tables then
-      Some (Smoqe_automata.Tables.dynamic mfa.Smoqe_automata.Mfa.nfa)
+      Some (Tables.dynamic mfa.Smoqe_automata.Mfa.nfa)
     else None
   in
   let engine = Engine.create ?trace ?tables ?memo_cap ?owners ?n_queries mfa in
   let stats = Engine.stats engine in
   (match tables with
   | Some tb ->
-    stats.Stats.table_spec_us <- Smoqe_automata.Tables.spec_us tb
+    stats.Stats.table_spec_us <- Tables.spec_us tb
   | None -> ());
   let ticks = ref 0 in
   let checkpoint =
@@ -107,115 +111,129 @@ let run_core ~capture ?budget ?trace ?use_tables ?memo_cap ?owners ?n_queries
   let top_alive () =
     !depth = 0 || Bytes.unsafe_get !stack (!depth - 1) = '\001'
   in
-  (* capturing *)
-  let open_captures = ref [] in
+  (* capturing: the shared buffer, and the open captures as a stack of
+     (node id, start offset in [cap_buf], element depth) triples *)
+  let cap_buf = Buffer.create 1024 in
+  let caps = ref (Array.make 24 0) and n_open = ref 0 in
+  (* Buffer length just after the latest start tag, [-1] once a text
+     node follows it (even an empty one): an end tag that finds the
+     buffer still there closes a childless element, written [<a/>] as the
+     DOM serializer writes it. *)
+  let last_start_tag = ref 0 in
   let finished_captures : (int, string) Hashtbl.t = Hashtbl.create 16 in
-  let cap_start ~candidate id tag attrs =
-    List.iter
-      (fun c ->
-        Buffer.add_char c.buf '<';
-        Buffer.add_string c.buf tag;
-        List.iter
-          (fun (k, v) ->
-            Buffer.add_char c.buf ' ';
-            Buffer.add_string c.buf k;
-            Buffer.add_string c.buf "=\"";
-            Buffer.add_string c.buf (Serializer.escape_attr v);
-            Buffer.add_char c.buf '"')
-          attrs;
-        Buffer.add_char c.buf '>';
-        c.open_elements <- c.open_elements + 1)
-      !open_captures;
-    if capture && candidate then
-      open_captures :=
-        (let c = { cap_node = id; buf = Buffer.create 64; open_elements = 1 } in
-         Buffer.add_char c.buf '<';
-         Buffer.add_string c.buf tag;
-         List.iter
-           (fun (k, v) ->
-             Buffer.add_char c.buf ' ';
-             Buffer.add_string c.buf k;
-             Buffer.add_string c.buf "=\"";
-             Buffer.add_string c.buf (Serializer.escape_attr v);
-             Buffer.add_char c.buf '"')
-           attrs;
-         Buffer.add_char c.buf '>';
-         c)
-        :: !open_captures
+  let store id start =
+    Hashtbl.replace finished_captures id
+      (Buffer.sub cap_buf start (Buffer.length cap_buf - start))
   in
+  let cap_start ~candidate id tag emit_attrs =
+    let start = Buffer.length cap_buf in
+    Buffer.add_char cap_buf '<';
+    Buffer.add_string cap_buf tag;
+    emit_attrs cap_buf;
+    Buffer.add_char cap_buf '>';
+    last_start_tag := Buffer.length cap_buf;
+    if capture && candidate then begin
+      let k = 3 * !n_open in
+      if k = Array.length !caps then
+        caps := Array.append !caps (Array.make k 0);
+      !caps.(k) <- id;
+      !caps.(k + 1) <- start;
+      !caps.(k + 2) <- !depth;
+      incr n_open
+    end
+  in
+  (* Runs before the element's level is popped: [!depth] is its depth. *)
   let cap_end tag =
-    List.iter
-      (fun c ->
-        Buffer.add_string c.buf "</";
-        Buffer.add_string c.buf tag;
-        Buffer.add_char c.buf '>';
-        c.open_elements <- c.open_elements - 1)
-      !open_captures;
-    open_captures :=
-      List.filter
-        (fun c ->
-          if c.open_elements = 0 then begin
-            Hashtbl.replace finished_captures c.cap_node (Buffer.contents c.buf);
-            false
-          end
-          else true)
-        !open_captures
+    if Buffer.length cap_buf = !last_start_tag then begin
+      Buffer.truncate cap_buf (!last_start_tag - 1);
+      Buffer.add_string cap_buf "/>"
+    end
+    else begin
+      Buffer.add_string cap_buf "</";
+      Buffer.add_string cap_buf tag;
+      Buffer.add_char cap_buf '>'
+    end;
+    let k = 3 * (!n_open - 1) in
+    if !caps.(k + 2) = !depth then begin
+      store !caps.(k) !caps.(k + 1);
+      decr n_open;
+      if !n_open = 0 then Buffer.clear cap_buf
+    end
   in
-  let cap_text id content is_candidate =
-    List.iter
-      (fun c -> Buffer.add_string c.buf (Serializer.escape_text content))
-      !open_captures;
-    if capture && is_candidate then
-      Hashtbl.replace finished_captures id (Serializer.escape_text content)
+  let cap_text id backing off len is_candidate =
+    let start = Buffer.length cap_buf in
+    Serializer.add_escaped_text cap_buf backing off len;
+    last_start_tag := -1;
+    if capture && is_candidate then store id start;
+    if !n_open = 0 then Buffer.clear cap_buf
   in
-  (* Attribute/text thunks are forced only when some capture buffer will
-     consume the result — the guards mirror the no-op conditions of
-     [cap_start]/[cap_text], so behaviour is unchanged. *)
-  let on_start name attrs_fn =
+  (* Tag ids by the pull parser's name id: the parser interns each name
+     once, so an element's tag costs an array read rather than a second,
+     string-keyed lookup in the table.  Filled on first sight; a driver
+     without name ids passes [-1] and interns by name. *)
+  let tag_of_name = ref (Array.make 64 unseen) in
+  let tag_for name name_id =
+    match tables with
+    | None -> Tables.unknown_tag
+    | Some tb when name_id < 0 -> Tables.intern tb name
+    | Some tb ->
+      if name_id >= Array.length !tag_of_name then
+        tag_of_name :=
+          Array.append !tag_of_name (Array.make (name_id + 1) unseen);
+      let tag = Array.unsafe_get !tag_of_name name_id in
+      if tag <> unseen then tag
+      else begin
+        let tag = Tables.intern tb name in
+        !tag_of_name.(name_id) <- tag;
+        tag
+      end
+  in
+  let on_start name name_id emit_attrs =
     checkpoint ();
     let id = fresh_id () in
     if top_alive () then begin
-      (match Engine.enter_named engine ~id name with
+      (match
+         Engine.enter_element engine ~id ~tag:(tag_for name name_id) name
+       with
       | Engine.Alive -> push_level true
       | Engine.Dead ->
         mark id Trace.Skipped_dead;
         push_level false);
       let candidate = Engine.entered_candidate engine in
-      if !open_captures <> [] || (capture && candidate) then
-        cap_start ~candidate id name (attrs_fn ())
+      if !n_open > 0 || (capture && candidate) then
+        cap_start ~candidate id name emit_attrs
     end
     else begin
       stats.Stats.nodes_skipped_dead <- stats.Stats.nodes_skipped_dead + 1;
       mark id Trace.Skipped_dead;
       push_level false;
-      if !open_captures <> [] then
-        cap_start ~candidate:false (-1) name (attrs_fn ())
+      if !n_open > 0 then cap_start ~candidate:false id name emit_attrs
     end
   in
   let on_end name =
     checkpoint ();
     if !depth = 0 then raise (Engine.Driver_error "unbalanced end event");
     if top_alive () then Engine.leave engine;
-    decr depth;
-    if !open_captures <> [] then cap_end name
+    if !n_open > 0 then cap_end name;
+    decr depth
   in
-  let on_text backing off len content_fn =
+  let on_text backing off len =
     checkpoint ();
     let id = fresh_id () in
     if top_alive () then begin
       match Engine.enter_text engine ~id backing off len with
       | Engine.Alive ->
         let candidate = Engine.entered_candidate engine in
-        if !open_captures <> [] || (capture && candidate) then
-          cap_text id (content_fn ()) candidate;
+        if !n_open > 0 || (capture && candidate) then
+          cap_text id backing off len candidate;
         Engine.leave engine
       | Engine.Dead ->
-        if !open_captures <> [] then cap_text id (content_fn ()) false
+        if !n_open > 0 then cap_text id backing off len false
     end
     else begin
       stats.Stats.nodes_skipped_dead <- stats.Stats.nodes_skipped_dead + 1;
       mark id Trace.Skipped_dead;
-      if !open_captures <> [] then cap_text id (content_fn ()) false
+      if !n_open > 0 then cap_text id backing off len false
     end
   in
   let budget_hit = ref None in
@@ -225,23 +243,29 @@ let run_core ~capture ?budget ?trace ?use_tables ?memo_cap ?owners ?n_queries
    with Budget.Exceeded { what; limit } -> budget_hit := Some (what, limit));
   (engine, stats, finished_captures, !next_id, !budget_hit)
 
-(* Zero-copy driver: names arrive interned from the cursor, text as a
-   borrowed span consumed inside [on_text] (enter → capture → leave)
-   before the next [cursor_next] invalidates it. *)
+(* Zero-copy driver: names arrive interned from the cursor, text and
+   attribute values as borrowed spans consumed inside the handler before
+   the next [cursor_next] invalidates them. *)
 let drive_cursor pull ~on_start ~on_end ~on_text =
-  let attrs () = Pull.cur_attrs pull and text () = Pull.cur_text pull in
+  let emit_attrs buf =
+    for i = 0 to Pull.cur_attr_count pull - 1 do
+      Serializer.add_attr buf (Pull.cur_attr_name pull i)
+        (Pull.cur_attr_backing pull i) (Pull.cur_attr_start pull i)
+        (Pull.cur_attr_length pull i)
+    done
+  in
   let rec loop () =
     match Pull.cursor_next pull with
     | Pull.Cursor_eof -> ()
     | Pull.Cursor_start ->
-      on_start (Pull.cur_name pull) attrs;
+      on_start (Pull.cur_name pull) (Pull.cur_name_id pull) emit_attrs;
       loop ()
     | Pull.Cursor_end ->
       on_end (Pull.cur_name pull);
       loop ()
     | Pull.Cursor_text ->
       on_text (Pull.cur_text_backing pull) (Pull.cur_text_start pull)
-        (Pull.cur_text_length pull) text;
+        (Pull.cur_text_length pull);
       loop ()
   in
   loop ()
@@ -252,10 +276,10 @@ let drive_events next ~on_start ~on_end ~on_text =
     | None -> ()
     | Some ev ->
       (match ev with
-      | Pull.Start_element (name, attrs) -> on_start name (fun () -> attrs)
+      | Pull.Start_element (name, attrs) ->
+        on_start name (-1) (fun buf -> Serializer.add_attrs buf attrs)
       | Pull.End_element name -> on_end name
-      | Pull.Text content ->
-        on_text content 0 (String.length content) (fun () -> content));
+      | Pull.Text content -> on_text content 0 (String.length content));
       loop ()
   in
   loop ()

@@ -10,8 +10,12 @@
     With [~capture:true] the driver additionally buffers the markup of
     every candidate subtree while scanning (still one pass) and returns the
     serialized fragments of the final answers — the streaming counterpart
-    of the output visualizer's text mode.  Memory grows with the size of
-    the captured candidates only. *)
+    of the output visualizer's text mode.  A fragment is byte-identical to
+    the DOM serializer's compact form of the same node
+    ([Serializer.subtree_to_string ~indent:false], or the escaped text of
+    a text node).  Open captures share one buffer, which holds the
+    outermost open candidate only; each closed candidate's fragment is
+    kept until the final answers are known. *)
 
 type result = {
   answers : int list;

@@ -51,6 +51,8 @@ let check_depth t depth =
   | Some m when depth > m -> exceeded ~what:"max_depth" ~limit:(string_of_int m)
   | Some _ | None -> ()
 
+let depth_limit t = Option.value t.max_depth ~default:max_int
+
 let check_cans t n =
   match t.max_cans with
   | Some m when n > m -> exceeded ~what:"max_cans" ~limit:(string_of_int m)

@@ -57,6 +57,11 @@ val tick_nodes : t -> int -> unit
 
 val check_deadline : t -> unit
 val check_depth : t -> int -> unit
+
+val depth_limit : t -> int
+(** [max_depth] as a plain int, [max_int] when unlimited: a hot loop
+    resolves it once and calls {!check_depth} only past it. *)
+
 val check_cans : t -> int -> unit
 val check_states : t -> int -> unit
 

@@ -37,7 +37,7 @@ type reader = {
   retain : bool;
   mutable pin : int; (* absolute offset that must survive compaction *)
   mutable line : int;
-  mutable col : int;
+  mutable line_start : int; (* absolute offset of the current line's first byte *)
 }
 
 let chunk_size = 65536
@@ -55,7 +55,7 @@ let reader_of_string ~retain s =
     retain;
     pin = 0;
     line = 1;
-    col = 1;
+    line_start = 0;
   }
 
 let reader_of_channel ~retain ~chunk ic =
@@ -69,10 +69,14 @@ let reader_of_channel ~retain ~chunk ic =
     retain;
     pin = 0;
     line = 1;
-    col = 1;
+    line_start = 0;
   }
 
-let err rd msg = raise (Error (rd.line, rd.col, msg))
+(* The column is never stored: it is the distance from the start of the
+   current line, computed only when someone asks (an error, [column]). *)
+let col rd = rd.base + rd.pos - rd.line_start + 1
+
+let err rd msg = raise (Error (rd.line, col rd, msg))
 
 let refill rd =
   if rd.eof then false
@@ -102,19 +106,24 @@ let refill rd =
     end
   end
 
-(* [has]/[cur]/[advance] are the non-allocating lookahead primitives (the
-   previous parser allocated a [Some c] block per peeked byte).  [cur]
-   and [advance] require a preceding successful [has]. *)
+(* [has]/[cur]/[advance] are the non-allocating lookahead primitives for
+   the per-token paths (tag punctuation, comments, references).  [cur]
+   and [advance] require a preceding successful [has].  The per-byte
+   paths — names, text runs, attribute values, whitespace — do not use
+   them: they scan the buffered window with a local index and call
+   [refill] only when the scan reaches the window's end. *)
 let has rd = rd.pos < rd.len || refill rd
 let cur rd = Bytes.unsafe_get rd.buf rd.pos
 
+(* A consumed newline at buffer index [i] starts a new line. *)
+let newline rd i =
+  rd.line <- rd.line + 1;
+  rd.line_start <- rd.base + i + 1
+
 let advance rd =
-  (if Bytes.unsafe_get rd.buf rd.pos = '\n' then begin
-     rd.line <- rd.line + 1;
-     rd.col <- 1
-   end
-   else rd.col <- rd.col + 1);
-  rd.pos <- rd.pos + 1
+  let p = rd.pos in
+  if Bytes.unsafe_get rd.buf p = '\n' then newline rd p;
+  rd.pos <- p + 1
 
 let read rd =
   if not (has rd) then err rd "unexpected end of input";
@@ -128,12 +137,25 @@ let expect rd c =
 
 let expect_str rd s = String.iter (fun c -> expect rd c) s
 
-let is_ws = function ' ' | '\t' | '\n' | '\r' -> true | _ -> false
-
 let skip_ws rd =
   let continue = ref true in
   while !continue do
-    if has rd && is_ws (cur rd) then advance rd else continue := false
+    let buf = rd.buf and len = rd.len in
+    let i = ref rd.pos in
+    while
+      !i < len
+      &&
+      match Bytes.unsafe_get buf !i with
+      | ' ' | '\t' | '\r' -> true
+      | '\n' ->
+        newline rd !i;
+        true
+      | _ -> false
+    do
+      incr i
+    done;
+    rd.pos <- !i;
+    if !i < len || not (refill rd) then continue := false
   done
 
 let is_name_start c =
@@ -142,28 +164,33 @@ let is_name_start c =
 let is_name_char c =
   is_name_start c || (c >= '0' && c <= '9') || c = '-' || c = '.'
 
+(* [is_name_char] as one table load, for the name scan's inner loop. *)
+let name_chars =
+  String.init 256 (fun i -> if is_name_char (Char.chr i) then '\001' else '\000')
+
 (* ------------------------------------------------------------------ *)
 (* Name interning: an open-addressing table of the distinct names seen,
-   keyed by an FNV-1a hash computed directly over the byte range — a
-   repeated name costs a hash and a byte compare, zero allocations.
-   Names are few (tags and attribute keys), so the table stays tiny. *)
+   keyed by an FNV-1a hash that the name scan computes as it goes — a
+   repeated name costs that hash and a byte compare, zero allocations.
+   Every name also gets a dense id, in order of first sight, so a
+   consumer can key its own per-name data by an array index.  Names are
+   few (tags and attribute keys), so the table stays tiny. *)
 module Pool = struct
-  type t = { mutable keys : string array; mutable count : int }
+  type t = {
+    mutable slots : int array; (* slot -> id of the name there, -1 = empty *)
+    mutable names : string array; (* id -> name *)
+    mutable count : int;
+  }
 
-  let create () = { keys = Array.make 64 ""; count = 0 }
+  let create () =
+    { slots = Array.make 64 (-1); names = Array.make 32 ""; count = 0 }
 
-  let hash_range b off len =
-    let h = ref 0x811c9dc5 in
-    for i = off to off + len - 1 do
-      h := (!h lxor Char.code (Bytes.unsafe_get b i)) * 0x01000193 land max_int
-    done;
-    !h
+  let hash_init = 0x811c9dc5
+  let hash_step h c = (h lxor Char.code c) * 0x01000193 land max_int
 
   let hash_str s =
-    let h = ref 0x811c9dc5 in
-    String.iter
-      (fun c -> h := (!h lxor Char.code c) * 0x01000193 land max_int)
-      s;
+    let h = ref hash_init in
+    String.iter (fun c -> h := hash_step !h c) s;
     !h
 
   let matches k b off len =
@@ -178,44 +205,42 @@ module Pool = struct
     !i = len
 
   let grow p =
-    let old = p.keys in
-    let nkeys = Array.make (2 * Array.length old) "" in
-    let mask = Array.length nkeys - 1 in
-    Array.iter
-      (fun k ->
-        if k <> "" then begin
-          let i = ref (hash_str k land mask) in
-          while nkeys.(!i) <> "" do
-            i := (!i + 1) land mask
-          done;
-          nkeys.(!i) <- k
-        end)
-      old;
-    p.keys <- nkeys
-
-  let intern p b off len =
-    let keys = p.keys in
-    let mask = Array.length keys - 1 in
-    let i = ref (hash_range b off len land mask) in
-    let found = ref "" in
-    let probing = ref true in
-    while !probing do
-      let k = Array.unsafe_get keys !i in
-      if k = "" then probing := false
-      else if matches k b off len then begin
-        found := k;
-        probing := false
-      end
-      else i := (!i + 1) land mask
+    let slots = Array.make (2 * Array.length p.slots) (-1) in
+    let mask = Array.length slots - 1 in
+    for id = 0 to p.count - 1 do
+      let i = ref (hash_str p.names.(id) land mask) in
+      while slots.(!i) >= 0 do
+        i := (!i + 1) land mask
+      done;
+      slots.(!i) <- id
     done;
-    if !found <> "" then !found
+    p.slots <- slots
+
+  (* The id of [b[off, off+len)], whose hash is [h]; a new name is added. *)
+  let intern p b off len h =
+    let slots = p.slots in
+    let mask = Array.length slots - 1 in
+    let i = ref (h land mask) in
+    while
+      let id = Array.unsafe_get slots !i in
+      id >= 0 && not (matches (Array.unsafe_get p.names id) b off len)
+    do
+      i := (!i + 1) land mask
+    done;
+    let id = Array.unsafe_get slots !i in
+    if id >= 0 then id
     else begin
-      let s = Bytes.sub_string b off len in
-      keys.(!i) <- s;
-      p.count <- p.count + 1;
-      if 2 * p.count >= Array.length keys then grow p;
-      s
+      let id = p.count in
+      if id = Array.length p.names then
+        p.names <- Array.append p.names (Array.make id "");
+      p.names.(id) <- Bytes.sub_string b off len;
+      slots.(!i) <- id;
+      p.count <- id + 1;
+      if 2 * p.count >= Array.length slots then grow p;
+      id
     end
+
+  let name p id = Array.unsafe_get p.names id
 end
 
 (* ------------------------------------------------------------------ *)
@@ -263,17 +288,19 @@ type t = {
   rd : reader;
   keep_ws : bool;
   budget : Budget.t option;
+  max_depth : int; (* the budget's depth limit, [max_int] without one *)
   pool : Pool.t;
   scratch : Scratch.t;
   orig : string option; (* [of_string] input, for zero-copy [retained] *)
-  mutable stack : string list; (* open elements, innermost first *)
-  mutable depth : int; (* length of [stack], kept incrementally *)
+  mutable stack : string array; (* open elements, outermost first *)
+  mutable depth : int; (* open elements: the live prefix of [stack] *)
   mutable seen_root : bool;
   mutable seen_doctype : bool;
   mutable at_start : bool; (* before the first byte: BOM goes here *)
   mutable finished : bool;
   (* cursor state, valid between [cursor_next] calls *)
   mutable name : string;
+  mutable name_id : int;
   mutable a_cnt : int;
   mutable a_names : string array;
   mutable a_off : int array;
@@ -282,24 +309,30 @@ type t = {
   mutable text_len : int;
   mutable non_ws : bool; (* current text run has a non-whitespace char *)
   mutable pending_end : bool; (* self-closing: deliver the end next *)
-  mutable pending_ticks : int; (* events not yet settled on the budget *)
+  mutable ticks_left : int; (* events until the next budget settlement *)
 }
+
+(* Budget ticks settle in batches of [tick_batch] events. *)
+let tick_batch = 32
 
 let mk rd keep_ws budget orig =
   {
     rd;
     keep_ws;
     budget;
+    max_depth =
+      (match budget with None -> max_int | Some b -> Budget.depth_limit b);
     pool = Pool.create ();
     scratch = Scratch.create 256;
     orig;
-    stack = [];
+    stack = Array.make 32 "";
     depth = 0;
     seen_root = false;
     seen_doctype = false;
     at_start = true;
     finished = false;
     name = "";
+    name_id = -1;
     a_cnt = 0;
     a_names = Array.make 8 "";
     a_off = Array.make 8 0;
@@ -308,7 +341,7 @@ let mk rd keep_ws budget orig =
     text_len = 0;
     non_ws = false;
     pending_end = false;
-    pending_ticks = 0;
+    ticks_left = (match budget with None -> max_int | Some _ -> tick_batch);
   }
 
 let of_string ?(keep_ws = false) ?budget ?(retain = false) s =
@@ -322,20 +355,35 @@ let of_channel ?(keep_ws = false) ?budget ?(chunk_size = chunk_size)
 (* Lexing.  Everything below records spans; nothing copies document
    bytes except the scratch fallback on reference-bearing segments. *)
 
-let read_name t =
+(* A name, scanned and hashed in one pass over the window; returns its
+   pool id. *)
+let read_name_id t =
   let rd = t.rd in
   if not (has rd) then err rd "unexpected end of input in name";
   let c0 = cur rd in
   if not (is_name_start c0) then
     err rd (Printf.sprintf "invalid name start %C" c0);
   let start = rd.base + rd.pos in
-  advance rd;
+  let h = ref (Pool.hash_step Pool.hash_init c0) in
+  rd.pos <- rd.pos + 1;
   let continue = ref true in
   while !continue do
-    if has rd && is_name_char (cur rd) then advance rd else continue := false
+    let buf = rd.buf and len = rd.len in
+    let i = ref rd.pos in
+    while
+      !i < len
+      && String.unsafe_get name_chars (Char.code (Bytes.unsafe_get buf !i))
+         = '\001'
+    do
+      h := Pool.hash_step !h (Bytes.unsafe_get buf !i);
+      incr i
+    done;
+    rd.pos <- !i;
+    if !i < len || not (refill rd) then continue := false
   done;
-  let len = rd.base + rd.pos - start in
-  Pool.intern t.pool rd.buf (start - rd.base) len
+  Pool.intern t.pool rd.buf (start - rd.base) (rd.base + rd.pos - start) !h
+
+let read_name t = Pool.name t.pool (read_name_id t)
 
 (* The XML 1.0 Char production: anything else is not expressible in a
    well-formed document, even via a character reference. *)
@@ -448,6 +496,8 @@ let flush_segment t start upto =
   let rd = t.rd in
   Scratch.add_subbytes t.scratch rd.buf (start - rd.base) (upto - start)
 
+(* The value runs to the closing quote; the scan stops early only at a
+   reference, a '<' (an error) or the window's end. *)
 let read_attr_value t =
   let rd = t.rd in
   let quote = read rd in
@@ -456,15 +506,33 @@ let read_attr_value t =
   let smark = ref (-1) in
   let continue = ref true in
   while !continue do
-    let c = read rd in
-    if c = quote then continue := false
-    else if c = '&' then begin
-      if !smark < 0 then smark := Scratch.length t.scratch;
-      flush_segment t !seg_start (rd.base + rd.pos - 1);
-      ignore (read_reference t : bool);
-      seg_start := rd.base + rd.pos
+    let buf = rd.buf and len = rd.len in
+    let i = ref rd.pos in
+    while
+      !i < len
+      &&
+      let c = Bytes.unsafe_get buf !i in
+      c <> quote && c <> '&' && c <> '<'
+    do
+      if Bytes.unsafe_get buf !i = '\n' then newline rd !i;
+      incr i
+    done;
+    rd.pos <- !i;
+    if !i = len then begin
+      if not (refill rd) then err rd "unexpected end of input"
     end
-    else if c = '<' then err rd "'<' in attribute value"
+    else begin
+      let c = Bytes.unsafe_get buf !i in
+      rd.pos <- !i + 1;
+      if c = quote then continue := false
+      else if c = '&' then begin
+        if !smark < 0 then smark := Scratch.length t.scratch;
+        flush_segment t !seg_start (rd.base + !i);
+        ignore (read_reference t : bool);
+        seg_start := rd.base + rd.pos
+      end
+      else err rd "'<' in attribute value"
+    end
   done;
   let stop = rd.base + rd.pos - 1 in
   if !smark < 0 then (!seg_start, stop - !seg_start)
@@ -567,7 +635,7 @@ let skip_bom rd =
       let c = read rd in
       if b <> '\xBB' || c <> '\xBF' then
         err rd "malformed UTF-8 byte-order mark";
-      rd.col <- 1
+      rd.line_start <- rd.base + rd.pos
     | '\xFE' | '\xFF' | '\x00' ->
       err rd "unsupported encoding (UTF-16/UTF-32 byte-order mark?)"
     | _ -> ()
@@ -590,30 +658,44 @@ let read_cdata t =
   t.text_off <- start;
   t.text_len <- !stop - start
 
+(* The text run ends at the next '<' (or the end of input).  One pass
+   over the window tracks lines and whether any byte is non-whitespace;
+   it stops early only at a reference or the window's end. *)
 let read_text t =
   let rd = t.rd in
-  t.non_ws <- false;
+  let non_ws = ref false in
   let seg_start = ref (rd.base + rd.pos) in
   let smark = ref (-1) in
   let continue = ref true in
   while !continue do
-    if not (has rd) then continue := false
+    let buf = rd.buf and len = rd.len in
+    let i = ref rd.pos in
+    let scanning = ref true in
+    while !scanning && !i < len do
+      match Bytes.unsafe_get buf !i with
+      | '<' | '&' -> scanning := false
+      | '\n' ->
+        newline rd !i;
+        incr i
+      | ' ' | '\t' | '\r' -> incr i
+      | _ ->
+        non_ws := true;
+        incr i
+    done;
+    rd.pos <- !i;
+    if !i = len then begin
+      if not (refill rd) then continue := false
+    end
+    else if Bytes.unsafe_get buf !i = '<' then continue := false
     else begin
-      let c = cur rd in
-      if c = '<' then continue := false
-      else if c = '&' then begin
-        advance rd;
-        if !smark < 0 then smark := Scratch.length t.scratch;
-        flush_segment t !seg_start (rd.base + rd.pos - 1);
-        if read_reference t then t.non_ws <- true;
-        seg_start := rd.base + rd.pos
-      end
-      else begin
-        if not (is_ws c) then t.non_ws <- true;
-        advance rd
-      end
+      rd.pos <- !i + 1;
+      if !smark < 0 then smark := Scratch.length t.scratch;
+      flush_segment t !seg_start (rd.base + !i);
+      if read_reference t then non_ws := true;
+      seg_start := rd.base + rd.pos
     end
   done;
+  t.non_ws <- !non_ws;
   let stop = rd.base + rd.pos in
   if !smark < 0 then begin
     t.text_off <- !seg_start;
@@ -624,6 +706,12 @@ let read_text t =
     t.text_off <- lnot !smark;
     t.text_len <- Scratch.length t.scratch - !smark
   end
+
+let push_open t tag =
+  if t.depth = Array.length t.stack then
+    t.stack <- Array.append t.stack (Array.make t.depth "");
+  Array.unsafe_set t.stack t.depth tag;
+  t.depth <- t.depth + 1
 
 (* ------------------------------------------------------------------ *)
 (* The event scanner.  All recursive calls are tail calls, so nesting of
@@ -638,7 +726,7 @@ let rec scan t =
     skip_bom rd
   end;
   if not (has rd) then
-    if t.stack <> [] then err rd "unexpected end of input: unclosed elements"
+    if t.depth > 0 then err rd "unexpected end of input: unclosed elements"
     else if not t.seen_root then err rd "empty document"
     else begin
       t.finished <- true;
@@ -662,12 +750,12 @@ let rec scan t =
         scan t
       | '[' ->
         advance rd;
-        if t.stack = [] then err rd "CDATA outside the root element";
+        if t.depth = 0 then err rd "CDATA outside the root element";
         read_cdata t;
         if t.text_len = 0 then scan t else Cursor_text
       | 'D' ->
         expect_str rd "DOCTYPE";
-        if t.seen_root || t.stack <> [] then
+        if t.seen_root || t.depth > 0 then
           err rd "DOCTYPE is only allowed before the root element";
         if t.seen_doctype then err rd "multiple DOCTYPE declarations";
         t.seen_doctype <- true;
@@ -676,46 +764,48 @@ let rec scan t =
       | c -> err rd (Printf.sprintf "unexpected <!%C" c))
     | '/' ->
       advance rd;
-      let tag = read_name t in
+      let id = read_name_id t in
+      let tag = Pool.name t.pool id in
       skip_ws rd;
       expect rd '>';
-      (match t.stack with
-      | [] ->
-        err rd (Printf.sprintf "closing tag </%s> with no open element" tag)
-      | top :: rest ->
-        if top <> tag then
-          err rd
-            (Printf.sprintf "closing tag </%s> does not match <%s>" tag top);
-        t.stack <- rest;
-        t.depth <- t.depth - 1;
-        t.name <- tag;
-        Cursor_end)
+      if t.depth = 0 then
+        err rd (Printf.sprintf "closing tag </%s> with no open element" tag);
+      (* Names are interned in one pool: a matching close tag is the
+         same string, so physical equality decides. *)
+      let top = Array.unsafe_get t.stack (t.depth - 1) in
+      if top != tag then
+        err rd (Printf.sprintf "closing tag </%s> does not match <%s>" tag top);
+      t.depth <- t.depth - 1;
+      t.name <- tag;
+      t.name_id <- id;
+      Cursor_end
     | _ ->
-      let tag = read_name t in
+      let id = read_name_id t in
+      let tag = Pool.name t.pool id in
       read_attributes t;
-      if t.stack = [] && t.seen_root then
+      if t.depth = 0 && t.seen_root then
         err rd "document has more than one root element";
       t.seen_root <- true;
       (match read rd with
       | '>' ->
-        t.stack <- tag :: t.stack;
-        t.depth <- t.depth + 1;
+        push_open t tag;
         Failpoint.trigger "pull.depth";
-        (match t.budget with
-        | None -> ()
-        | Some b -> Budget.check_depth b t.depth);
+        if t.depth > t.max_depth then
+          Option.iter (fun b -> Budget.check_depth b t.depth) t.budget;
         t.name <- tag;
+        t.name_id <- id;
         Cursor_start
       | '/' ->
         expect rd '>';
         t.pending_end <- true;
         t.name <- tag;
+        t.name_id <- id;
         Cursor_start
       | c -> err rd (Printf.sprintf "unexpected %C in start tag" c))
   end
   else begin
     read_text t;
-    if t.stack = [] then begin
+    if t.depth = 0 then begin
       if t.non_ws then err rd "text outside the root element" else scan t
     end
     else if (not t.keep_ws) && not t.non_ws then scan t
@@ -723,32 +813,33 @@ let rec scan t =
   end
 
 (* Every delivered event counts against [max_nodes], but the counting is
-   settled in batches of 32 — the same amortization the evaluators use —
-   so the per-event cost of a budget is one local increment, not a
-   cross-module call.  The remainder (plus a final deadline check)
-   settles whenever end-of-stream is delivered. *)
+   settled in batches of [tick_batch] — the same amortization the
+   evaluators use.  An event costs one decrement of [ticks_left] whether
+   or not a budget is attached: without one the countdown starts at
+   [max_int] and never runs out.  The remainder (plus a final deadline
+   check) settles whenever end-of-stream is delivered. *)
 let settle_budget t =
   match t.budget with
   | None -> ()
   | Some b ->
-    let k = t.pending_ticks in
-    t.pending_ticks <- 0;
+    let k = tick_batch - t.ticks_left in
+    t.ticks_left <- tick_batch;
     if k > 0 then Budget.tick_nodes b k;
     Budget.check_deadline b
+
+let settle_batch t =
+  match t.budget with
+  | None -> t.ticks_left <- max_int
+  | Some b ->
+    t.ticks_left <- tick_batch;
+    Budget.tick_nodes b tick_batch
 
 (* The public entry: one failpoint branch (no-op unless armed) and one
    budget tick per event delivered. *)
 let cursor_next t =
   Failpoint.trigger "pull.read";
-  (match t.budget with
-  | None -> ()
-  | Some b ->
-    let k = t.pending_ticks + 1 in
-    if k < 32 then t.pending_ticks <- k
-    else begin
-      t.pending_ticks <- 0;
-      Budget.tick_nodes b 32
-    end);
+  let k = t.ticks_left - 1 in
+  if k > 0 then t.ticks_left <- k else settle_batch t;
   if t.pending_end then begin
     t.pending_end <- false;
     Cursor_end
@@ -770,6 +861,7 @@ let cursor_next t =
 (* Cursor accessors. *)
 
 let cur_name t = t.name
+let cur_name_id t = t.name_id
 let cur_attr_count t = t.a_cnt
 let cur_attr_name t i = t.a_names.(i)
 
@@ -779,20 +871,19 @@ let span_string t off len =
   else Scratch.sub t.scratch (lnot off) len
 
 let cur_attr_value t i = span_string t t.a_off.(i) t.a_len.(i)
-let cur_text t = span_string t t.text_off t.text_len
 
-let cur_text_span t =
-  let off = t.text_off and len = t.text_len in
-  if off >= 0 then (Bytes.unsafe_to_string t.rd.buf, off - t.rd.base, len)
-  else (Bytes.unsafe_to_string t.scratch.Scratch.b, lnot off, len)
-
-let cur_text_backing t =
-  if t.text_off >= 0 then Bytes.unsafe_to_string t.rd.buf
+let span_backing t off =
+  if off >= 0 then Bytes.unsafe_to_string t.rd.buf
   else Bytes.unsafe_to_string t.scratch.Scratch.b
 
-let cur_text_start t =
-  let off = t.text_off in
-  if off >= 0 then off - t.rd.base else lnot off
+let span_start t off = if off >= 0 then off - t.rd.base else lnot off
+let cur_attr_backing t i = span_backing t t.a_off.(i)
+let cur_attr_start t i = span_start t t.a_off.(i)
+let cur_attr_length t i = t.a_len.(i)
+let cur_text t = span_string t t.text_off t.text_len
+
+let cur_text_backing t = span_backing t t.text_off
+let cur_text_start t = span_start t t.text_off
 
 let cur_text_length t = t.text_len
 
@@ -832,4 +923,4 @@ let fold t ~init ~f =
   loop init
 
 let line t = t.rd.line
-let column t = t.rd.col
+let column t = col t.rd

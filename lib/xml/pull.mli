@@ -100,6 +100,12 @@ val cursor_next : t -> signal
 val cur_name : t -> string
 (** Tag of the current start or end element (interned). *)
 
+val cur_name_id : t -> int
+(** Dense id of {!cur_name} in this parser's name pool: [0] for the
+    first distinct name seen (element or attribute), then [1], and so
+    on.  Lets a consumer key per-name data by an array index instead of
+    a string lookup. *)
+
 val cur_attr_count : t -> int
 val cur_attr_name : t -> int -> string
 val cur_attr_value : t -> int -> string
@@ -110,17 +116,19 @@ val cur_attrs : t -> (string * string) list
 val cur_text : t -> string
 (** Materialized content of the current text event. *)
 
-val cur_text_span : t -> string * int * int
-(** [(backing, off, len)] — the current text content as a borrowed slice,
-    no copy unless the segment needed reference decoding into a fresh
-    region.  The backing string aliases the parser's mutable buffer:
-    consume it before the next {!cursor_next} and never retain it. *)
-
 val cur_text_backing : t -> string
 val cur_text_start : t -> int
 val cur_text_length : t -> int
-(** The three components of {!cur_text_span}, read separately so a
-    driver loop need not allocate the tuple. *)
+(** The current text content as a borrowed slice [(backing, start,
+    length)], read in three calls so a driver loop allocates no tuple.
+    The backing string aliases the parser's mutable buffer: consume it
+    before the next {!cursor_next} and never retain it. *)
+
+val cur_attr_backing : t -> int -> string
+val cur_attr_start : t -> int -> int
+val cur_attr_length : t -> int -> int
+(** Attribute [i]'s value as a borrowed slice, under the same rule as
+    the text slice. *)
 
 (** {1 Arena access}
 

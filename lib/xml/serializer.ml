@@ -46,24 +46,19 @@ let escape ~quotes s =
 let escape_text s = escape ~quotes:false s
 let escape_attr s = escape ~quotes:true s
 
+let add_attr buf k backing off len =
+  Buffer.add_char buf ' ';
+  Buffer.add_string buf k;
+  Buffer.add_string buf "=\"";
+  add_escaped_attr buf backing off len;
+  Buffer.add_char buf '"'
+
 let add_attrs buf attrs =
-  List.iter
-    (fun (k, v) ->
-      Buffer.add_char buf ' ';
-      Buffer.add_string buf k;
-      Buffer.add_string buf "=\"";
-      add_escaped_attr buf v 0 (String.length v);
-      Buffer.add_char buf '"')
-    attrs
+  List.iter (fun (k, v) -> add_attr buf k v 0 (String.length v)) attrs
 
 (* Tree attributes, read in place through the packed spans. *)
 let add_tree_attrs buf t n =
-  Tree.iter_attrs t n (fun k backing off len ->
-      Buffer.add_char buf ' ';
-      Buffer.add_string buf k;
-      Buffer.add_string buf "=\"";
-      add_escaped_attr buf backing off len;
-      Buffer.add_char buf '"')
+  Tree.iter_attrs t n (fun k backing off len -> add_attr buf k backing off len)
 
 let add_text_content buf t n =
   let backing, off, len = Tree.content_slice t n in

@@ -15,6 +15,14 @@ val add_escaped_text : Buffer.t -> string -> int -> int -> unit
 val add_escaped_attr : Buffer.t -> string -> int -> int -> unit
 (** Slice counterpart of {!escape_attr}, as {!add_escaped_text}. *)
 
+val add_attr : Buffer.t -> string -> string -> int -> int -> unit
+(** [add_attr buf name s off len] appends one attribute, [ name="v"],
+    whose value is the slice [s[off, off+len)], escaped as by
+    {!add_escaped_attr}. *)
+
+val add_attrs : Buffer.t -> (string * string) list -> unit
+(** {!add_attr} over a materialized attribute list. *)
+
 val to_string : ?indent:bool -> ?decl:bool -> Tree.t -> string
 (** Serialize a document.  [indent] (default [true]) pretty-prints with two
     spaces per level, keeping elements whose only child is text on one

@@ -264,6 +264,58 @@ let test_stax_capture () =
     [ "patient"; "patient/pname"; "//medication/text()"; q0';
       "patient[parent]" (* nested candidate inside another candidate *) ]
 
+(* Capture on the byte path: the cursor driver over [Pull.of_string] and
+   over 7-byte [of_channel] refills must produce, for every answer, the
+   DOM serialization of the same node.  The document exercises what the
+   event path never sees: references decoded into the parser's scratch
+   (in text and in attribute values), CDATA, single-quoted attributes,
+   and a candidate nested inside another candidate. *)
+let capture_doc =
+  "<r>\n\
+  \  <item id='i1' note=\"a &amp; b &lt;c&gt; &#x41;&#66; 'q'\">\n\
+  \    <name>Tom &amp; Jerry &#x4E2D; &gt;</name>\n\
+  \    <body><![CDATA[raw <b> & \"stuff\"]]></body>\n\
+  \    <item id=\"i2\" q='say \"hi\" &amp; &#39;bye&#39;'>\
+  <name>inner &apos;x&apos;</name><body>b2</body></item>\n\
+  \  </item>\n\
+  \  <item id=\"i3\"><name>solo</name><body/></item>\n\
+  </r>\n"
+
+let test_stax_capture_bytes () =
+  let t = doc capture_doc in
+  let path = Filename.temp_file "smoqe_capture" ".xml" in
+  Out_channel.with_open_bin path (fun oc ->
+      Out_channel.output_string oc capture_doc);
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      List.iter
+        (fun q ->
+          let expected =
+            List.map
+              (fun n ->
+                ( n,
+                  if Tree.is_text t n then
+                    Serializer.escape_text (Tree.text_content t n)
+                  else Serializer.subtree_to_string ~indent:false t n ))
+              (dom_answers t q)
+          in
+          Alcotest.(check bool) (q ^ " has answers") true (expected <> []);
+          let check label pull =
+            let r =
+              Eval_stax.run ~capture:true (Compile.compile (parse q)) pull
+            in
+            Alcotest.(check (list (pair int string)))
+              (Printf.sprintf "%s (%s)" q label)
+              expected r.Eval_stax.captured
+          in
+          check "of_string" (Smoqe_xml.Pull.of_string capture_doc);
+          In_channel.with_open_bin path (fun ic ->
+              check "of_channel, 7-byte refills"
+                (Smoqe_xml.Pull.of_channel ~chunk_size:7 ic)))
+        [ "item"; "//item"; "//item[item]"; "//name"; "//name/text()";
+          "//body/text()"; "//item[name = 'solo']" ])
+
 let test_stax_capture_off_by_default () =
   let t = Lazy.force hospital in
   let mfa = Compile.compile (parse "patient") in
@@ -610,6 +662,8 @@ let () =
           Alcotest.test_case "matches dom" `Quick test_stax_matches_dom;
           Alcotest.test_case "from string" `Quick test_stax_from_string;
           Alcotest.test_case "capture" `Quick test_stax_capture;
+          Alcotest.test_case "capture on the byte path" `Quick
+            test_stax_capture_bytes;
           Alcotest.test_case "capture off" `Quick test_stax_capture_off_by_default;
           Alcotest.test_case "single pass" `Quick test_stax_single_pass_stats;
         ] );

@@ -161,6 +161,9 @@ let property_case seed =
         (Printf.sprintf "seed %d: stax = dom (%s)" seed text)
         (List.sort_uniq compare dom.Engine.answers)
         (List.sort_uniq compare stax.Engine.answers);
+      Alcotest.(check (list string))
+        (Printf.sprintf "seed %d: stax xml = dom xml (%s)" seed text)
+        dom.Engine.answer_xml stax.Engine.answer_xml;
       let warm = run Engine.Dom in
       Alcotest.(check int)
         (Printf.sprintf "seed %d: warm is a hit" seed)
@@ -365,6 +368,50 @@ let test_batch_bib () =
   let doc = Bib.generate ~seed:11 ~n_books:4 ~section_depth:3 () in
   batch_battery ~name:"bib" ~dtd:Bib.dtd ~policy:Bib.policy ~doc
     Queries.bib_suite
+
+(* The pubsub subscription set in one shared pass: the view suite plus,
+   per medication, two qualifiers that differ from their siblings only in
+   the constant compared against.  A merge that fused such qualifiers
+   under a key blind to atom values would hand every member the union of
+   its siblings' answers, so each member is held to the materialized-view
+   oracle on its own, in both modes. *)
+let test_batch_pubsub () =
+  let doc = Hospital.generate ~seed:3 ~n_patients:30 ~recursion_depth:2 () in
+  let texts =
+    List.map snd Queries.view_suite
+    @ List.concat_map
+        (fun m ->
+          [ Printf.sprintf "patient[treatment/medication = '%s']" m;
+            Printf.sprintf "//treatment[medication = '%s']" m ])
+        Hospital.medications
+  in
+  let engine = Engine.of_tree ~dtd:Hospital.dtd doc in
+  ok (Engine.register_policy engine ~group:"members" Hospital.policy);
+  let view = Option.get (Engine.view engine ~group:"members") in
+  let expected =
+    List.map (fun text -> Materialize.doc_answers view doc (parse text)) texts
+  in
+  (* the document must tell the constants apart, or the battery is moot *)
+  let n_views = List.length Queries.view_suite in
+  Alcotest.(check bool) "members differing in a constant differ in answers"
+    true
+    (List.length
+       (List.sort_uniq compare (List.filteri (fun i _ -> i >= n_views) expected))
+    > 2);
+  List.iter
+    (fun (mode, mname) ->
+      let results, _ = Engine.run_many engine ~group:"members" ~mode texts in
+      List.iteri
+        (fun i text ->
+          match results.(i) with
+          | Error e -> Alcotest.failf "pubsub %s %s: %s" mname text e
+          | Ok o ->
+            Alcotest.(check (list int))
+              (Printf.sprintf "pubsub %s: %s = oracle" mname text)
+              (List.nth expected i)
+              (List.sort_uniq compare o.Engine.answers))
+        texts)
+    modes
 
 (* The sharded form: one shared pass per pool worker, results re-concatenated
    in submission order. *)
@@ -1006,6 +1053,8 @@ let () =
           Alcotest.test_case "hospital run_many matrix" `Quick
             test_batch_hospital;
           Alcotest.test_case "bib run_many matrix" `Quick test_batch_bib;
+          Alcotest.test_case "pubsub subscriptions = oracle" `Quick
+            test_batch_pubsub;
           Alcotest.test_case "hospital sharded across pool" `Quick
             test_batch_pooled_hospital;
           Alcotest.test_case "bib sharded across pool" `Quick
